@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json fuzz fuzz-smoke bench bench-obs bench-obs-smoke bench-serve bench-serve-smoke bench-wire bench-wire-smoke bench-segment bench-segment-smoke chaos-smoke verify
+.PHONY: build test race vet lint lint-json fuzz fuzz-smoke bench bench-obs bench-obs-smoke bench-serve bench-serve-smoke bench-wire bench-wire-smoke bench-segment bench-segment-smoke chaos-smoke spinebench-test verify
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,13 @@ bench-segment-smoke:
 # must seal bit-identical to the single-process run.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosWorkerKilledMidSweep|TestChaosWindowedReplay' -count=1 ./internal/cluster/
+
+# The spine benchmark is its own module (spinebench/go.mod), so the
+# root `go test ./...` never builds it. This runs its tests against the
+# current internal/ packages, so an API change that breaks the
+# benchmark fails here instead of at benchmark time.
+spinebench-test:
+	cd spinebench && $(GO) test .
 
 # verify is the pre-merge gate: generic static analysis (vet), the
 # repo-specific determinism/concurrency lint (cloudyvet), the full

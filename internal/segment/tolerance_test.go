@@ -18,6 +18,7 @@ const (
 	epsDiffMs           = 3.0  // Figure 5 per-centile diffs: ≤3 ms absolute
 	epsChangepointRel   = 0.01 // changepoint medians: ≤1% relative
 	epsShiftAbs         = 0.05 // changepoint Mann-Whitney AUC: ≤0.05 absolute
+	epsCIHalfFactor     = 1.6  // Figure 3 CI half-width: sketch within ×/÷1.6 of the exact bootstrap (measured 0.68..1.38)
 )
 
 func relErr(got, want float64) float64 {
@@ -80,6 +81,18 @@ func compareFigures(t *testing.T, shards, parts int, w store.Window, exact, appr
 		if r := relErr(am[i].MedianMs, em[i].MedianMs); r > epsLatencyMedianRel {
 			t.Errorf("shards=%d parts=%d w=%+v: %s median rel err %.4f > %.4f",
 				shards, parts, w, em[i].Country, r, epsLatencyMedianRel)
+		}
+		// The sketch CI (±1.57·IQR/√n around the digest median) must
+		// bracket its own median and stay within a factor of the exact
+		// bootstrap interval's half-width.
+		if !(am[i].CILowMs <= am[i].MedianMs && am[i].MedianMs <= am[i].CIHighMs) {
+			t.Errorf("shards=%d parts=%d w=%+v: %s sketch CI [%.3f, %.3f] does not bracket its median %.3f",
+				shards, parts, w, em[i].Country, am[i].CILowMs, am[i].CIHighMs, am[i].MedianMs)
+		}
+		ah, eh := (am[i].CIHighMs-am[i].CILowMs)/2, (em[i].CIHighMs-em[i].CILowMs)/2
+		if !(ah <= epsCIHalfFactor*eh && eh <= epsCIHalfFactor*ah) {
+			t.Errorf("shards=%d parts=%d w=%+v: %s sketch CI half-width %.3fms vs exact %.3fms, beyond a factor of %.2f",
+				shards, parts, w, em[i].Country, ah, eh, epsCIHalfFactor)
 		}
 	}
 	// Figure 4: continent CDFs, both platforms.

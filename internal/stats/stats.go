@@ -7,9 +7,11 @@
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -39,14 +41,21 @@ func quantileSorted(s []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantileRanks(len(s), q)
 	if lo == hi {
 		return s[lo]
 	}
-	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// quantileRanks returns the two order statistics (0-based ranks) a
+// type-7 q-quantile of n sorted values reads, and the weight of the
+// upper one.
+func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
 }
 
 // Quantiles returns several quantiles of xs with a single sort.
@@ -278,26 +287,94 @@ func RequiredSampleSize(z, p, epsilon float64) int {
 // for the median of xs: resamples draws with replacement, interval at
 // the given confidence (e.g. 0.95). Resampling uses the provided seed
 // so analyses stay reproducible.
+//
+// Each resample draws len(xs) indices with rng.Intn from a
+// rand.NewSource(seed) stream, in order, and takes the type-7 median
+// of the drawn values. That median only needs the order statistics at
+// ranks floor and ceil of 0.5·(n−1), so instead of sorting the drawn
+// values the function orders xs once (skipped when xs is already
+// sorted), tallies how often each element was drawn, and walks the
+// running tally in sorted order to those two ranks. The two values
+// found are the ones a sort of the drawn values would put there, and
+// they are combined by the same interpolation, so the interval is the
+// one a sort per resample gives, at O(n) instead of O(n log n) per
+// resample. The one thing not promised is which of −0 and +0 (or
+// which of several NaN payloads) a rank holding a tie between them
+// returns, since the sort order treats them as equal.
 func BootstrapMedianCI(xs []float64, resamples int, confidence float64, seed int64) (lo, hi float64, err error) {
 	if len(xs) == 0 {
 		return 0, 0, ErrEmpty
 	}
-	if resamples < 1 || confidence <= 0 || confidence >= 1 {
+	if resamples < 1 || !(confidence > 0 && confidence < 1) {
 		return 0, 0, errors.New("stats: bad bootstrap parameters")
 	}
+	n := len(xs)
+	sorted, rank := sortedRanks(xs)
+	loRank, hiRank, frac := quantileRanks(n, 0.5)
 	rng := rand.New(rand.NewSource(seed))
 	medians := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[rng.Intn(len(xs))]
+	counts := make([]int32, n) // counts[k]: draws of the element at rank k
+	for r := range medians {
+		clear(counts)
+		for i := 0; i < n; i++ {
+			k := rng.Intn(n)
+			if rank != nil {
+				k = int(rank[k])
+			}
+			counts[k]++
 		}
-		sort.Float64s(buf)
-		medians[r] = quantileSorted(buf, 0.5)
+		// The same branch and expression as quantileSorted.
+		a, b := tallyOrderStats(sorted, counts, loRank, hiRank)
+		if loRank == hiRank {
+			medians[r] = a
+		} else {
+			medians[r] = a*(1-frac) + b*frac
+		}
 	}
 	sort.Float64s(medians)
 	alpha := (1 - confidence) / 2
 	return quantileSorted(medians, alpha), quantileSorted(medians, 1-alpha), nil
+}
+
+// sortedRanks returns xs in sort.Float64s order and the rank of each
+// xs[i] in it. When xs is already sorted it returns xs itself and a nil
+// rank (the identity).
+func sortedRanks(xs []float64) (sorted []float64, rank []int32) {
+	if sort.Float64sAreSorted(xs) {
+		return xs, nil
+	}
+	order := make([]int32, len(xs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	// cmp.Compare orders NaN first and ±0 together, as sort.Float64s does.
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(xs[a], xs[b]) })
+	sorted = make([]float64, len(xs))
+	rank = make([]int32, len(xs))
+	for k, i := range order {
+		sorted[k] = xs[i]
+		rank[i] = int32(k)
+	}
+	return sorted, rank
+}
+
+// tallyOrderStats returns the values at ranks lo and hi (lo ≤ hi ≤
+// lo+1) of a resample, where counts[k] is how often sorted[k] was drawn.
+func tallyOrderStats(sorted []float64, counts []int32, lo, hi int) (a, b float64) {
+	seen := 0
+	for k, c := range counts {
+		seen += int(c)
+		if seen <= lo {
+			continue
+		}
+		a = sorted[k]
+		for seen <= hi {
+			k++
+			seen += int(counts[k])
+		}
+		return a, sorted[k]
+	}
+	panic("stats: resample tally holds fewer draws than its length")
 }
 
 // Welford is a streaming accumulator for count, mean and variance. The

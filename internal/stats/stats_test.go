@@ -395,4 +395,7 @@ func TestBootstrapMedianCI(t *testing.T) {
 	if _, _, err := BootstrapMedianCI(xs, 10, 1.5, 1); err == nil {
 		t.Error("bad confidence should fail")
 	}
+	if _, _, err := BootstrapMedianCI(xs, 10, math.NaN(), 1); err == nil {
+		t.Error("NaN confidence should fail")
+	}
 }
