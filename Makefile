@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json fuzz fuzz-smoke bench bench-obs bench-obs-smoke bench-serve bench-serve-smoke bench-wire bench-wire-smoke bench-segment bench-segment-smoke chaos-smoke spinebench-test verify
+.PHONY: build test race vet lint lint-json fuzz fuzz-smoke bench bench-obs bench-obs-smoke bench-serve bench-serve-smoke bench-wire bench-wire-smoke bench-segment bench-segment-smoke chaos-smoke determinism-smoke spinebench-test verify
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,13 @@ bench-segment-smoke:
 # must seal bit-identical to the single-process run.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosWorkerKilledMidSweep|TestChaosWindowedReplay' -count=1 ./internal/cluster/
+
+# The campaign record digest at one and at four Ps: sync.Pool keeps a
+# cache per P, so a pooled-generator regression that only shows under
+# real parallelism is named here rather than buried in the full suite.
+determinism-smoke:
+	GOMAXPROCS=1 $(GO) test -count=1 -run TestCampaignRecordDigest ./internal/core/
+	GOMAXPROCS=4 $(GO) test -count=1 -run TestCampaignRecordDigest ./internal/core/
 
 # The spine benchmark is its own module (spinebench/go.mod), so the
 # root `go test ./...` never builds it. This runs its tests against the
