@@ -974,18 +974,8 @@ func (c *Campaign) targetsFor(p *probes.Probe, cycle, probeIdx int) []*cloud.Reg
 	// paper's per-probe "closest datacenter" series needs density
 	// there. A rotating window covers the rest of the pool across
 	// cycles.
-	byDistance := func(pool []*cloud.Region) {
-		sort.Slice(pool, func(i, j int) bool {
-			di := geo.DistanceKm(p.Loc, pool[i].Loc)
-			dj := geo.DistanceKm(p.Loc, pool[j].Loc)
-			if di != dj {
-				return di < dj
-			}
-			return pool[i].ID < pool[j].ID
-		})
-	}
-	byDistance(home)
-	byDistance(neighbor)
+	sortByDistance(home, p.Loc)
+	sortByDistance(neighbor, p.Loc)
 	alwaysHome := 3
 	if alwaysHome > n {
 		alwaysHome = n
@@ -1022,6 +1012,35 @@ func (c *Campaign) targetsFor(p *probes.Probe, cycle, probeIdx int) []*cloud.Reg
 		out = append(out, rest[(start+i*stride+i)%len(rest)])
 	}
 	return out
+}
+
+// regionsByDistance orders regions by distance from a point, ties by
+// ID: a strict total order, so every sort yields the same sequence.
+type regionsByDistance struct {
+	rs []*cloud.Region
+	km []float64
+}
+
+func (s regionsByDistance) Len() int { return len(s.rs) }
+func (s regionsByDistance) Less(i, j int) bool {
+	if s.km[i] != s.km[j] {
+		return s.km[i] < s.km[j]
+	}
+	return s.rs[i].ID < s.rs[j].ID
+}
+func (s regionsByDistance) Swap(i, j int) {
+	s.rs[i], s.rs[j] = s.rs[j], s.rs[i]
+	s.km[i], s.km[j] = s.km[j], s.km[i]
+}
+
+// sortByDistance sorts pool nearest-first from p, measuring each
+// region once rather than on every comparison.
+func sortByDistance(pool []*cloud.Region, p geo.Point) {
+	km := make([]float64, len(pool))
+	for i, r := range pool {
+		km[i] = geo.DistanceKm(p, r.Loc)
+	}
+	sort.Sort(regionsByDistance{pool, km})
 }
 
 // filterRegions keeps the regions avail admits for this cycle — the

@@ -23,6 +23,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/asn"
 	"repro/internal/cloud"
@@ -85,8 +86,21 @@ func New(w *world.World) *Simulator {
 	}
 }
 
-// rngFor derives the deterministic per-measurement RNG.
+// rngPool recycles measurement generators. A math/rand source is ~4.9
+// KB; seeding a recycled one resets its whole state, so its stream is
+// the one a fresh source with the same seed would produce.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// rngFor derives the deterministic per-measurement RNG. The caller owns
+// it until it puts it back in rngPool, and must not use it after.
 func (s *Simulator) rngFor(probeID, regionID string, proto dataset.Protocol, cycle int) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(s.seedFor(probeID, regionID, proto, cycle))
+	return rng
+}
+
+// seedFor hashes a measurement's identity into its RNG seed.
+func (s *Simulator) seedFor(probeID, regionID string, proto dataset.Protocol, cycle int) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(probeID))
 	h.Write([]byte{0})
@@ -97,7 +111,7 @@ func (s *Simulator) rngFor(probeID, regionID string, proto dataset.Protocol, cyc
 		seedBytes[i] = byte(s.W.Config.Seed >> (8 * i))
 	}
 	h.Write(seedBytes[:])
-	return rand.New(rand.NewSource(int64(splitmix64(h.Sum64()))))
+	return int64(splitmix64(h.Sum64()))
 }
 
 // splitmix64 finalizes the hash before seeding math/rand; without it,
@@ -264,6 +278,7 @@ func (s *Simulator) drawLastMile(p *probes.Probe, rng *rand.Rand) lastmile.Sampl
 // matching the within-2% gap §3.3 reports for Speedchecker.
 func (s *Simulator) Ping(p *probes.Probe, r *cloud.Region, proto dataset.Protocol, cycle int) dataset.PingRecord {
 	rng := s.rngFor(p.ID, r.ID, proto, cycle)
+	defer rngPool.Put(rng)
 	pl := s.buildPlan(p, r)
 	lm := s.drawLastMile(p, rng)
 	rtt := lm.UserToISPms + s.wiredRTT(pl, rng)
@@ -291,6 +306,7 @@ func (s *Simulator) Ping(p *probes.Probe, r *cloud.Region, proto dataset.Protoco
 // occasional truncated trace.
 func (s *Simulator) Traceroute(p *probes.Probe, r *cloud.Region, cycle int) dataset.TracerouteRecord {
 	rng := s.rngFor(p.ID, r.ID, dataset.ICMP, cycle)
+	defer rngPool.Put(rng)
 	pl := s.buildPlan(p, r)
 	lm := s.drawLastMile(p, rng)
 

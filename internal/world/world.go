@@ -87,7 +87,16 @@ type World struct {
 	providerByASN   map[asn.Number]*cloud.Provider
 	ic              map[icKey]Interconnect
 	ixpByASN        map[asn.Number]*IXP
+	// popVecs holds, for every AS with more than one PoP, the unit
+	// vectors of its PoPs in the order of pops: NearestPoP's trig-free
+	// prefilter.
+	popVecs map[asn.Number][]vec3
+	// regionIP is the VM endpoint address of every inventory region.
+	regionIP map[regionKey]netaddr.IP
 }
+
+// regionKey names a region by its provider, as RegionIP resolves it.
+type regionKey struct{ provider, id string }
 
 // Build synthesizes a world from the configuration.
 func Build(cfg Config) (*World, error) {
@@ -104,6 +113,7 @@ func Build(cfg Config) (*World, error) {
 		providerByASN:   make(map[asn.Number]*cloud.Provider),
 		ic:              make(map[icKey]Interconnect),
 		ixpByASN:        make(map[asn.Number]*IXP),
+		regionIP:        make(map[regionKey]netaddr.IP),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if err := w.buildTier1s(rng); err != nil {
@@ -118,6 +128,7 @@ func Build(cfg Config) (*World, error) {
 	if err := w.buildClouds(rng); err != nil {
 		return nil, err
 	}
+	w.buildPoPVecs()
 	return w, nil
 }
 
@@ -173,20 +184,76 @@ func (w *World) ProviderByASN(n asn.Number) (*cloud.Provider, bool) {
 // PoPs returns the points of presence of an AS.
 func (w *World) PoPs(n asn.Number) []PoP { return w.pops[n] }
 
-// NearestPoP returns the AS's PoP closest to p. ok is false when the AS
-// has no PoPs.
+// nearTieCos is how far below the best dot product a PoP may score and
+// still be re-scored by haversine. The dot product's rounding error is
+// ~1e-15, so every PoP whose haversine distance could tie or beat the
+// best one is inside the band (DESIGN.md §4).
+const nearTieCos = 1e-9
+
+// NearestPoP returns the AS's PoP closest to p by geo.DistanceKm — the
+// first one in PoP order on a tie. ok is false when the AS has no PoPs.
+//
+// The scan ranks PoPs by the dot product of unit vectors, which orders
+// them like great-circle distance without trigonometry per PoP; only
+// the PoPs within nearTieCos of the best are measured with haversine,
+// in PoP order with strict <, so the answer is the one a haversine scan
+// over every PoP returns.
 func (w *World) NearestPoP(n asn.Number, p geo.Point) (PoP, bool) {
 	pops := w.pops[n]
-	if len(pops) == 0 {
+	switch len(pops) {
+	case 0:
 		return PoP{}, false
+	case 1:
+		return pops[0], true
 	}
-	best, bestD := pops[0], geo.DistanceKm(p, pops[0].Loc)
-	for _, cand := range pops[1:] {
-		if d := geo.DistanceKm(p, cand.Loc); d < bestD {
-			best, bestD = cand, d
+	vecs := w.popVecs[n]
+	q := unitVec(p)
+	maxDot := math.Inf(-1)
+	for _, v := range vecs {
+		if d := q.dot(v); d > maxDot {
+			maxDot = d
 		}
 	}
-	return best, true
+	// best starts at 0 so a NaN query, which scores nothing, keeps the
+	// first PoP as the haversine scan does.
+	best, bestD := 0, math.Inf(1)
+	for i, v := range vecs {
+		if q.dot(v) < maxDot-nearTieCos {
+			continue
+		}
+		if dist := geo.DistanceKm(p, pops[i].Loc); dist < bestD {
+			best, bestD = i, dist
+		}
+	}
+	return pops[best], true
+}
+
+// vec3 is a point on the unit sphere in Earth-centred coordinates.
+type vec3 struct{ x, y, z float64 }
+
+func unitVec(p geo.Point) vec3 {
+	sinLat, cosLat := math.Sincos(p.Lat * math.Pi / 180)
+	sinLon, cosLon := math.Sincos(p.Lon * math.Pi / 180)
+	return vec3{cosLat * cosLon, cosLat * sinLon, sinLat}
+}
+
+// dot is the cosine of the central angle between two unit vectors.
+func (a vec3) dot(b vec3) float64 { return a.x*b.x + a.y*b.y + a.z*b.z }
+
+// buildPoPVecs precomputes NearestPoP's unit vectors once the PoP
+// footprints are final.
+func (w *World) buildPoPVecs() {
+	w.popVecs = make(map[asn.Number][]vec3)
+	for n, pops := range w.pops {
+		if len(pops) < 2 {
+			continue
+		}
+		vecs := make([]vec3, len(pops))
+		for i, p := range pops {
+			vecs[i] = unitVec(p.Loc)
+		}
+		w.popVecs[n] = vecs
+	}
 }
 
 // Prefix returns the address block announced by an AS.
@@ -227,18 +294,10 @@ func (w *World) ProbeIP(isp asn.Number, i int) netaddr.IP {
 }
 
 // RegionIP returns the address of the public VM endpoint in a region
-// (the CloudHarmony-style hostname target, §3.1).
+// (the CloudHarmony-style hostname target, §3.1). A region outside the
+// inventory has no endpoint and yields 0.
 func (w *World) RegionIP(r *cloud.Region) netaddr.IP {
-	p, ok := w.prefixes[r.Provider.ASN]
-	if !ok {
-		return 0
-	}
-	for i, cand := range w.Inventory.RegionsOf(r.Provider.Code) {
-		if cand.ID == r.ID {
-			return p.Nth(uint64(i+1)*256 + 10)
-		}
-	}
-	return 0
+	return w.regionIP[regionKey{r.Provider.Code, r.ID}]
 }
 
 // Interconnect returns the interconnection kind chosen for a
@@ -665,6 +724,11 @@ func (w *World) buildClouds(rng *rand.Rand) error {
 		}
 		w.prefixes[prov.ASN] = p
 		w.providerByASN[prov.ASN] = prov
+		// The i-th region of a provider serves from the (i+1)-th /24
+		// of its block.
+		for i, r := range w.Inventory.RegionsOf(prov.Code) {
+			w.regionIP[regionKey{prov.Code, r.ID}] = p.Nth(uint64(i+1)*256 + 10)
+		}
 		w.buildCloudPoPs(prov)
 		w.wireCloudTransit(prov, rng)
 	}

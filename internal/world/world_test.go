@@ -6,6 +6,7 @@ import (
 	"repro/internal/asn"
 	"repro/internal/cloud"
 	"repro/internal/geo"
+	"repro/internal/netaddr"
 )
 
 func testWorld(t *testing.T) *World {
@@ -245,6 +246,51 @@ func TestAddressing(t *testing.T) {
 	}
 	if w.RouterIP(99999999, 0) != 0 {
 		t.Error("unknown AS should yield zero IP")
+	}
+}
+
+// regionIPScan is the reference RegionIP: the region's position among
+// its provider's regions picks the /24 it serves from.
+func regionIPScan(w *World, r *cloud.Region) netaddr.IP {
+	p, ok := w.prefixes[r.Provider.ASN]
+	if !ok {
+		return 0
+	}
+	for i, cand := range w.Inventory.RegionsOf(r.Provider.Code) {
+		if cand.ID == r.ID {
+			return p.Nth(uint64(i+1)*256 + 10)
+		}
+	}
+	return 0
+}
+
+func TestRegionIPTable(t *testing.T) {
+	w := testWorld(t)
+	for _, r := range w.Inventory.Regions() {
+		want := regionIPScan(w, r)
+		if want == 0 {
+			t.Fatalf("reference scan found no address for %s", r.ID)
+		}
+		if got := w.RegionIP(r); got != want {
+			t.Errorf("RegionIP(%s) = %v, scan = %v", r.ID, got, want)
+		}
+		// The table answers by value, not by pointer identity.
+		cp := *r
+		if got := w.RegionIP(&cp); got != want {
+			t.Errorf("RegionIP(copy of %s) = %v, scan = %v", r.ID, got, want)
+		}
+	}
+	amzn, _ := w.Inventory.Provider("AMZN")
+	gcp, _ := w.Inventory.Provider("GCP")
+	outside := []*cloud.Region{
+		{Provider: amzn, ID: "amzn-nowhere-1"},
+		// An inventory ID under another provider is not that region.
+		{Provider: gcp, ID: w.Inventory.RegionsOf("AMZN")[0].ID},
+	}
+	for _, r := range outside {
+		if got, want := w.RegionIP(r), regionIPScan(w, r); got != 0 || want != 0 {
+			t.Errorf("RegionIP(%s/%s) = %v (scan %v), want 0", r.Provider.Code, r.ID, got, want)
+		}
 	}
 }
 
